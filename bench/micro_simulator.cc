@@ -3,12 +3,15 @@
 // bound the cost of the test suite and of the reproduction sweeps.
 #include <benchmark/benchmark.h>
 
+#include <string>
+
 #include "analytic/pipeline_model.h"
 #include "gpukernels/device_workspace.h"
 #include "gpukernels/fused_ksum.h"
 #include "gpukernels/gemm_cudac.h"
 #include "gpukernels/norms.h"
 #include "gpusim/cache.h"
+#include "gpusim/coalescer.h"
 #include "gpusim/shared_memory.h"
 #include "workload/point_generators.h"
 
@@ -27,6 +30,29 @@ void BM_SmemTransactionCount(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SmemTransactionCount);
+
+// One warp request through the allocation-free coalescer. Arg selects the
+// pattern: 0 coalesced float, 1 coalesced float4, 2 float at a 128-byte
+// stride (32 sectors), 3 coalesced float with the lanes reversed (the
+// out-of-order path that sorts).
+void BM_CoalescerSectors(benchmark::State& state) {
+  const gpusim::Coalescer coalescer(32);
+  gpusim::GlobalWarpAccess access;
+  const int pattern = int(state.range(0));
+  access.width_bytes = pattern == 1 ? 16 : 4;
+  for (int l = 0; l < 32; ++l) {
+    const int slot = pattern == 3 ? 31 - l : l;
+    const auto stride = gpusim::GlobalAddr(pattern == 2 ? 128 : access.width_bytes);
+    access.set_lane(l, 4096 + gpusim::GlobalAddr(slot) * stride);
+  }
+  gpusim::SectorList sectors;
+  for (auto _ : state) {
+    coalescer.collect(access, sectors);
+    benchmark::DoNotOptimize(sectors.size());
+  }
+  state.SetLabel(std::to_string(sectors.size()) + " sectors");
+}
+BENCHMARK(BM_CoalescerSectors)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
 
 void BM_L2SectorStream(benchmark::State& state) {
   std::uint64_t reads = 0, hits = 0, misses = 0;

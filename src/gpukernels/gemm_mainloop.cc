@@ -9,10 +9,13 @@ namespace {
 // One rank-tileK update: every warp reads its A/B operands for step k
 // through the bank model and feeds the micro² per-thread FMAs.
 void rank_update_step(gpusim::BlockContext& ctx, const MainloopConfig& config,
+                      const OperandOffsetTable& offsets,
                       gpusim::SharedAddr a_base, gpusim::SharedAddr b_base,
                       int k, BlockAccumulators& acc) {
   const TileGeometry& g = config.geometry;
   const std::size_t micro2 = static_cast<std::size_t>(g.micro * g.micro);
+  const gpusim::SharedAddr step =
+      kSmemRowBytes * static_cast<gpusim::SharedAddr>(k);
   for (int warp = 0; warp < g.warps(); ++warp) {
     OperandLanes a_ops{};
     OperandLanes b_ops{};
@@ -21,11 +24,10 @@ void rank_update_step(gpusim::BlockContext& ctx, const MainloopConfig& config,
       gpusim::SharedWarpAccess access;
       access.site = KSUM_ACCESS_SITE("mainloop A operand load");
       access.warp = warp;
+      const gpusim::SharedAddr* offset =
+          offsets.a.data() + operand_slot(g, warp, u, 0);
       for (int lane = 0; lane < 32; ++lane) {
-        const int tid = warp * 32 + lane;
-        access.set_lane(lane,
-                        a_base + operand_offset(config.layout, g, g.block_y,
-                                                thread_ty(tid, g), u, k));
+        access.set_lane(lane, a_base + step + offset[lane]);
       }
       const auto vals = ctx.smem().load_warp(access);
       for (int lane = 0; lane < 32; ++lane) {
@@ -37,11 +39,10 @@ void rank_update_step(gpusim::BlockContext& ctx, const MainloopConfig& config,
       gpusim::SharedWarpAccess access;
       access.site = KSUM_ACCESS_SITE("mainloop B operand load");
       access.warp = warp;
+      const gpusim::SharedAddr* offset =
+          offsets.b.data() + operand_slot(g, warp, t, 0);
       for (int lane = 0; lane < 32; ++lane) {
-        const int tid = warp * 32 + lane;
-        access.set_lane(lane,
-                        b_base + operand_offset(config.layout, g, g.block_x,
-                                                thread_tx(tid, g), t, k));
+        access.set_lane(lane, b_base + step + offset[lane]);
       }
       const auto vals = ctx.smem().load_warp(access);
       for (int lane = 0; lane < 32; ++lane) {
@@ -69,14 +70,36 @@ void rank_update_step(gpusim::BlockContext& ctx, const MainloopConfig& config,
 }
 
 void compute_tile(gpusim::BlockContext& ctx, const MainloopConfig& config,
+                  const OperandOffsetTable& offsets,
                   gpusim::SharedAddr a_base, gpusim::SharedAddr b_base,
                   BlockAccumulators& acc) {
   for (int k = 0; k < config.geometry.tile_k; ++k) {
-    rank_update_step(ctx, config, a_base, b_base, k, acc);
+    rank_update_step(ctx, config, offsets, a_base, b_base, k, acc);
   }
 }
 
 }  // namespace
+
+OperandOffsetTable make_operand_offsets(TileLayout layout,
+                                        const TileGeometry& g) {
+  const std::size_t slots =
+      static_cast<std::size_t>(g.warps() * g.micro) * 32;
+  OperandOffsetTable table{std::vector<gpusim::SharedAddr>(slots),
+                           std::vector<gpusim::SharedAddr>(slots)};
+  for (int warp = 0; warp < g.warps(); ++warp) {
+    for (int u = 0; u < g.micro; ++u) {
+      for (int lane = 0; lane < 32; ++lane) {
+        const int tid = warp * 32 + lane;
+        const std::size_t slot = operand_slot(g, warp, u, lane);
+        table.a[slot] = operand_offset(layout, g, g.block_y,
+                                       thread_ty(tid, g), u, 0);
+        table.b[slot] = operand_offset(layout, g, g.block_x,
+                                       thread_tx(tid, g), u, 0);
+      }
+    }
+  }
+  return table;
+}
 
 SmemMap make_smem_map(const TileGeometry& g, bool double_buffer) {
   SmemMap m;
@@ -116,6 +139,7 @@ void run_gemm_mainloop(gpusim::BlockContext& ctx, const TileSource& a,
                                static_cast<std::size_t>(g.micro * g.micro));
   const std::size_t iters = k_total / static_cast<std::size_t>(g.tile_k);
   const int lw = g.loader_warps();
+  const OperandOffsetTable offsets = make_operand_offsets(config.layout, g);
 
   if (config.double_buffer) {
     // Algorithm 2: prologue load, then each iteration prefetches tile i+1
@@ -139,7 +163,7 @@ void run_gemm_mainloop(gpusim::BlockContext& ctx, const TileSource& a,
         load_tile(ctx, g, b, (i + 1) * static_cast<std::size_t>(g.tile_k),
                   b_next, config.layout, lw, g.tile_n, b_norms);
       }
-      compute_tile(ctx, config, a_cur, b_cur, acc);
+      compute_tile(ctx, config, offsets, a_cur, b_cur, acc);
       ctx.barrier();
     }
   } else {
@@ -153,7 +177,7 @@ void run_gemm_mainloop(gpusim::BlockContext& ctx, const TileSource& a,
       load_tile(ctx, g, b, i * static_cast<std::size_t>(g.tile_k), smem.b0,
                 config.layout, lw, g.tile_n, b_norms);
       ctx.barrier();
-      compute_tile(ctx, config, smem.a0, smem.b0, acc);
+      compute_tile(ctx, config, offsets, smem.a0, smem.b0, acc);
       ctx.barrier();
     }
   }

@@ -64,6 +64,27 @@ inline int thread_ty(int tid, const TileGeometry& g = TileGeometry{}) {
   return tid / g.block_x;
 }
 
+/// Step-0 shared-memory offsets of every compute-phase operand read of one
+/// CTA, built from operand_offset: entry operand_slot(g, warp, u, lane) of
+/// `a` is operand u of the lane's microtile row (ty) in tileA, of `b`
+/// operand u of its microtile column (tx) in tileB. Main-loop step k reads
+/// offset + kSmemRowBytes·k.
+struct OperandOffsetTable {
+  std::vector<gpusim::SharedAddr> a;
+  std::vector<gpusim::SharedAddr> b;
+};
+
+inline std::size_t operand_slot(const TileGeometry& g, int warp, int u,
+                                int lane) {
+  return (static_cast<std::size_t>(warp) * static_cast<std::size_t>(g.micro) +
+          static_cast<std::size_t>(u)) *
+             32 +
+         static_cast<std::size_t>(lane);
+}
+
+OperandOffsetTable make_operand_offsets(TileLayout layout,
+                                        const TileGeometry& g);
+
 /// Runs the full main loop over K: loads each (tileA_i, tileB_i) pair and
 /// applies the rank-tileK updates. On return `acc` holds subC = subA×subB.
 /// When the norm accumulators are non-null, every loaded element's square

@@ -34,6 +34,12 @@ namespace ksum::gpukernels {
 
 enum class TileLayout { kFig5, kNaive };
 
+/// One shared-memory row: 32 banks × 4 bytes. Under both layouts element
+/// k of a track sits k rows below element 0, so
+/// tile_offset(…, k) == tile_offset(…, 0) + kSmemRowBytes·k; the loader and
+/// the main loop build their per-step addresses from step-0 offsets.
+inline constexpr gpusim::SharedAddr kSmemRowBytes = 128;
+
 /// Which track a loader thread owns. `loader_index` is the thread's virtual
 /// index within its tile-loading half (chunk = loader_index/32); a half
 /// covers `microtiles`·micro tracks. Fig.5: chunk c takes tracks

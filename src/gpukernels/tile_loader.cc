@@ -21,9 +21,25 @@ void load_tile(gpusim::BlockContext& ctx, const TileGeometry& geom,
     // The half's warps walk the chunks round-robin; with the paper's tiles
     // each of the 4 warps owns exactly one chunk.
     const int warp = warp_base + chunk % geom.loader_warps();
-    // Per-lane track assignment and staging registers for the elements.
+    // Per-lane track assignment, its global float index at k0, its step-0
+    // shared offset, and staging registers for the elements.
     std::array<TrackAssignment, 32> tracks;
+    std::array<std::size_t, 32> track_floats;
+    std::array<gpusim::SharedAddr, 32> offsets;
     std::array<std::array<float, kMaxTileK>, 32> staged{};
+    for (int lane = 0; lane < 32; ++lane) {
+      const TrackAssignment ta =
+          track_of_loader(layout, geom, microtiles, chunk * 32 + lane);
+      const auto l = static_cast<std::size_t>(lane);
+      tracks[l] = ta;
+      track_floats[l] =
+          (src.origin +
+           static_cast<std::size_t>(geom.micro * ta.microtile + ta.track)) *
+              src.leading +
+          k0;
+      offsets[l] = tile_offset(layout, geom, microtiles, ta.microtile,
+                               ta.track, 0);
+    }
 
     // tileK/4 float4 global loads cover the track's elements.
     for (int piece = 0; piece < pieces; ++piece) {
@@ -32,15 +48,9 @@ void load_tile(gpusim::BlockContext& ctx, const TileGeometry& geom,
       access.site = KSUM_ACCESS_SITE("tile track fetch (float4 piece)");
       access.warp = warp;
       for (int lane = 0; lane < 32; ++lane) {
-        const TrackAssignment ta =
-            track_of_loader(layout, geom, microtiles, chunk * 32 + lane);
-        tracks[static_cast<std::size_t>(lane)] = ta;
-        const std::size_t track_index =
-            src.origin + static_cast<std::size_t>(geom.micro * ta.microtile +
-                                                  ta.track);
-        const std::size_t float_index =
-            track_index * src.leading + k0 + static_cast<std::size_t>(piece) * 4;
-        access.set_lane(lane, src.buffer.addr_of_float(float_index));
+        access.set_lane(lane, src.buffer.addr_of_float(
+                                  track_floats[static_cast<std::size_t>(lane)] +
+                                  static_cast<std::size_t>(piece) * 4));
       }
       const auto loaded = ctx.global_load_vec4(access);
       for (int lane = 0; lane < 32; ++lane) {
@@ -79,12 +89,11 @@ void load_tile(gpusim::BlockContext& ctx, const TileGeometry& geom,
       gpusim::SharedWarpAccess store;
       store.site = KSUM_ACCESS_SITE("tile track scatter store");
       store.warp = warp;
+      const gpusim::SharedAddr row =
+          smem_base + kSmemRowBytes * static_cast<gpusim::SharedAddr>(k);
       std::array<float, 32> values{};
       for (int lane = 0; lane < 32; ++lane) {
-        const TrackAssignment ta = tracks[static_cast<std::size_t>(lane)];
-        store.set_lane(lane,
-                       smem_base + tile_offset(layout, geom, microtiles,
-                                               ta.microtile, ta.track, k));
+        store.set_lane(lane, row + offsets[static_cast<std::size_t>(lane)]);
         values[static_cast<std::size_t>(lane)] =
             staged[static_cast<std::size_t>(lane)][static_cast<std::size_t>(k)];
       }

@@ -2,6 +2,8 @@
 #pragma once
 
 #include <array>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 
 namespace ksum::gpusim {
@@ -45,6 +47,24 @@ struct WarpAccess {
     return (warp < 0 ? 0 : warp * kWarpSize) + lane;
   }
 };
+
+/// Copies the addresses of the active lanes, in lane order, to the front of
+/// `out` and returns how many there are. A full warp is a straight copy.
+template <typename Addr, typename Out>
+std::size_t active_addresses(const WarpAccess<Addr>& access,
+                             std::array<Out, kWarpSize>& out) {
+  if (access.active_mask == 0xffffffffu) {
+    for (std::size_t lane = 0; lane < kWarpSize; ++lane) {
+      out[lane] = access.addr[lane];
+    }
+    return kWarpSize;
+  }
+  std::size_t n = 0;
+  for (std::uint32_t mask = access.active_mask; mask != 0; mask &= mask - 1) {
+    out[n++] = access.addr[static_cast<std::size_t>(std::countr_zero(mask))];
+  }
+  return n;
+}
 
 using GlobalWarpAccess = WarpAccess<GlobalAddr>;
 using SharedWarpAccess = WarpAccess<SharedAddr>;

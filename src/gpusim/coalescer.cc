@@ -1,49 +1,97 @@
 #include "gpusim/coalescer.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 
 #include "common/error.h"
 
 namespace ksum::gpusim {
 
-std::vector<GlobalAddr> Coalescer::sectors_for(
-    const GlobalWarpAccess& access) const {
-  std::vector<GlobalAddr> sectors;
-  sectors.reserve(kWarpSize);
-  const auto sector = static_cast<GlobalAddr>(sector_bytes_);
-  for (int lane = 0; lane < kWarpSize; ++lane) {
-    if (!access.lane_active(lane)) continue;
-    const GlobalAddr base = access.addr[static_cast<std::size_t>(lane)];
-    KSUM_DCHECK(base % 4 == 0);
-    for (int piece = 0; piece < access.width_bytes; piece += 4) {
-      sectors.push_back((base + static_cast<GlobalAddr>(piece)) / sector *
-                        sector);
+namespace {
+
+// Appends `value` unless it repeats the last entry; clears `sorted` when it
+// arrives below that entry. Lanes of real kernels mostly walk addresses
+// upwards, so the list usually comes out strictly ascending already.
+void push_distinct(GlobalAddr* items, std::size_t& n, GlobalAddr value,
+                   bool& sorted) {
+  if (n > 0) {
+    if (value == items[n - 1]) return;
+    if (value < items[n - 1]) sorted = false;
+  }
+  items[n++] = value;
+}
+
+// Sorts and dedups [items, items+n) only if lanes arrived out of order;
+// returns the new length.
+std::size_t sort_unique(GlobalAddr* items, std::size_t n, bool sorted) {
+  if (sorted) return n;
+  std::sort(items, items + n);
+  return static_cast<std::size_t>(std::unique(items, items + n) - items);
+}
+
+void check_width(const GlobalWarpAccess& access) {
+  KSUM_CHECK_MSG(access.width_bytes >= 0 &&
+                     access.width_bytes <= kMaxGlobalWidthBytes &&
+                     access.width_bytes % 4 == 0,
+                 "global access width must be 0..16 bytes in whole words");
+}
+
+}  // namespace
+
+Coalescer::Coalescer(int sector_bytes)
+    : sector_(static_cast<GlobalAddr>(sector_bytes)) {
+  KSUM_REQUIRE(sector_bytes >= 4 && std::has_single_bit(sector_),
+               "sector size must be a power of two of at least 4 bytes");
+}
+
+void Coalescer::collect(const GlobalWarpAccess& access,
+                        SectorList& out) const {
+  check_width(access);
+  out.size_ = 0;
+  if (access.width_bytes == 0) return;
+  const auto last_piece = static_cast<GlobalAddr>(access.width_bytes - 4);
+  std::array<GlobalAddr, kWarpSize> addr;
+  const std::size_t lanes = active_addresses(access, addr);
+  GlobalAddr* items = out.items_.data();
+  std::size_t n = 0;
+  bool sorted = true;
+  for (std::size_t i = 0; i < lanes; ++i) {
+    KSUM_DCHECK(addr[i] % 4 == 0);
+    // The lane's words are contiguous, so it touches every sector from
+    // that of its first word to that of its last one.
+    const GlobalAddr last = sector_of(addr[i] + last_piece);
+    for (GlobalAddr s = sector_of(addr[i]); s <= last; s += sector_) {
+      push_distinct(items, n, s, sorted);
     }
   }
-  std::sort(sectors.begin(), sectors.end());
-  sectors.erase(std::unique(sectors.begin(), sectors.end()), sectors.end());
-  return sectors;
+  out.size_ = sort_unique(items, n, sorted);
+}
+
+std::vector<GlobalAddr> Coalescer::sectors_for(
+    const GlobalWarpAccess& access) const {
+  SectorList sectors;
+  collect(access, sectors);
+  return {sectors.begin(), sectors.end()};
 }
 
 int Coalescer::ideal_sectors_for(const GlobalWarpAccess& access) const {
   // Distinct words touched (lanes may overlap under broadcast), packed into
   // as few sectors as arithmetic allows.
-  std::vector<GlobalAddr> words;
-  words.reserve(kWarpSize);
-  for (int lane = 0; lane < kWarpSize; ++lane) {
-    if (!access.lane_active(lane)) continue;
-    const GlobalAddr base = access.addr[static_cast<std::size_t>(lane)];
+  check_width(access);
+  std::array<GlobalAddr, kWarpSize> addr;
+  const std::size_t lanes = active_addresses(access, addr);
+  std::array<GlobalAddr, SectorList::kCapacity> words;
+  std::size_t n = 0;
+  bool sorted = true;
+  for (std::size_t i = 0; i < lanes; ++i) {
     for (int piece = 0; piece < access.width_bytes; piece += 4) {
-      words.push_back((base + static_cast<GlobalAddr>(piece)) / 4);
+      push_distinct(words.data(), n,
+                    (addr[i] + static_cast<GlobalAddr>(piece)) / 4, sorted);
     }
   }
-  std::sort(words.begin(), words.end());
-  words.erase(std::unique(words.begin(), words.end()), words.end());
-  if (words.empty()) return 0;
-  const std::size_t bytes = words.size() * 4;
-  return static_cast<int>(
-      (bytes + static_cast<std::size_t>(sector_bytes_) - 1) /
-      static_cast<std::size_t>(sector_bytes_));
+  n = sort_unique(words.data(), n, sorted);
+  return static_cast<int>((n * 4 + sector_ - 1) / sector_);
 }
 
 }  // namespace ksum::gpusim

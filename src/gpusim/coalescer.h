@@ -7,17 +7,47 @@
 // accesses produce 16.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <vector>
 
 #include "gpusim/address.h"
 
 namespace ksum::gpusim {
 
+/// Widest per-lane global access the coalescer services (float4).
+inline constexpr int kMaxGlobalWidthBytes = 16;
+
+/// Fixed-capacity stack list of the sectors one warp request touches: at
+/// most 32 lanes × 4 words, so collecting never allocates.
+class SectorList {
+ public:
+  static constexpr std::size_t kCapacity =
+      kWarpSize * (kMaxGlobalWidthBytes / 4);
+
+  const GlobalAddr* begin() const { return items_.data(); }
+  const GlobalAddr* end() const { return items_.data() + size_; }
+  std::size_t size() const { return size_; }
+
+ private:
+  friend class Coalescer;
+
+  std::array<GlobalAddr, kCapacity> items_;  // only [0, size_) is written
+  std::size_t size_ = 0;
+};
+
 class Coalescer {
  public:
-  explicit Coalescer(int sector_bytes) : sector_bytes_(sector_bytes) {}
+  /// `sector_bytes` must be a power of two of at least 4 bytes.
+  explicit Coalescer(int sector_bytes);
 
-  /// Distinct sector base addresses touched by the access, sorted ascending.
+  /// Replaces `out` with the distinct sector base addresses touched by the
+  /// access, sorted ascending — the order the L2 sees them in, which its LRU
+  /// state (and hence every counter) depends on. Allocation-free; the access
+  /// width must be a multiple of 4 of at most kMaxGlobalWidthBytes.
+  void collect(const GlobalWarpAccess& access, SectorList& out) const;
+
+  /// collect() into a vector (tests and host-side tooling).
   std::vector<GlobalAddr> sectors_for(const GlobalWarpAccess& access) const;
 
   /// Minimum sectors that could service the access if its distinct bytes
@@ -27,10 +57,14 @@ class Coalescer {
   /// sectors, which is exactly the gap the lint reports.
   int ideal_sectors_for(const GlobalWarpAccess& access) const;
 
-  int sector_bytes() const { return sector_bytes_; }
+  int sector_bytes() const { return static_cast<int>(sector_); }
 
  private:
-  int sector_bytes_;
+  GlobalAddr sector_of(GlobalAddr byte) const {
+    return byte & ~(sector_ - 1);
+  }
+
+  GlobalAddr sector_;
 };
 
 }  // namespace ksum::gpusim

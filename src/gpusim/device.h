@@ -118,9 +118,11 @@ class BlockContext {
   float filter_fault(FaultSite site, float value);
 
  private:
-  /// Reports a serviced global request (with achieved/ideal sector counts)
-  /// to the device's observer, if one is attached.
-  void notify_global(const GlobalWarpAccess& access, AccessKind kind);
+  /// Reports a serviced global request to the device's observer, if one is
+  /// attached, with the `sector_count` the caller already collected and the
+  /// coalescer's ideal.
+  void notify_global(const GlobalWarpAccess& access, AccessKind kind,
+                     std::size_t sector_count);
 
   Device& device_;
   GridDim grid_;

@@ -1,8 +1,9 @@
 #include "gpusim/shared_memory.h"
 
+#include <algorithm>
 #include <bit>
+#include <cstddef>
 #include <limits>
-#include <set>
 
 #include "common/error.h"
 #include "common/math_util.h"
@@ -25,11 +26,25 @@ void SharedMemory::check_access(const SharedWarpAccess& access) const {
   KSUM_REQUIRE(access.width_bytes == 4,
                "shared memory model currently services 4-byte lanes; express "
                "float4 as four accesses (the kernels do)");
-  for (int lane = 0; lane < kWarpSize; ++lane) {
-    if (!access.lane_active(lane)) continue;
-    const SharedAddr a = access.addr[static_cast<std::size_t>(lane)];
-    KSUM_CHECK_MSG(a % 4 == 0, "shared access must be 4-byte aligned");
-    KSUM_CHECK_MSG(a + 4 <= data_.size() * sizeof(float),
+  // One branch-free pass: the OR of the addresses catches any misaligned
+  // lane, the max any lane past the allocation (compared in size_t, so an
+  // address near 2^32 cannot wrap the bound).
+  std::array<SharedAddr, kWarpSize> addr;
+  const std::size_t n = active_addresses(access, addr);
+  if (n == 0) return;
+  SharedAddr any_bits = 0;
+  SharedAddr highest = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    any_bits |= addr[i];
+    highest = std::max(highest, addr[i]);
+  }
+  const std::size_t size = data_.size() * sizeof(float);
+  if (any_bits % 4 == 0 && std::size_t{highest} + 4 <= size) return;
+  // Something is wrong: report the first offending lane, as a lane-by-lane
+  // check would.
+  for (std::size_t i = 0; i < n; ++i) {
+    KSUM_CHECK_MSG(addr[i] % 4 == 0, "shared access must be 4-byte aligned");
+    KSUM_CHECK_MSG(std::size_t{addr[i]} + 4 <= size,
                    "shared access out of the CTA allocation");
   }
 }
@@ -37,16 +52,46 @@ void SharedMemory::check_access(const SharedWarpAccess& access) const {
 int SharedMemory::transactions_for(const SharedWarpAccess& access) {
   // Distinct 128-byte rows touched by active lanes. Same word → broadcast
   // (no extra cost); same row, different banks → same transaction; different
-  // rows → replay.
-  std::set<std::uint32_t> rows;
-  for (int lane = 0; lane < kWarpSize; ++lane) {
-    if (!access.lane_active(lane)) continue;
-    const SharedAddr base = access.addr[static_cast<std::size_t>(lane)];
-    for (int piece = 0; piece < access.width_bytes; piece += 4) {
-      rows.insert((base + static_cast<std::uint32_t>(piece)) / kRowBytes);
+  // rows → replay. A lane's words are contiguous, so it touches the run of
+  // rows from that of its first word to that of its last one, and the count
+  // is the size of the union of those runs.
+  if (access.width_bytes <= 0) return 0;
+  std::array<std::uint64_t, kWarpSize> addr;
+  const std::size_t n = active_addresses(access, addr);
+  if (n == 0) return 0;
+  const auto end = addr.begin() + static_cast<std::ptrdiff_t>(n);
+  // Byte offset of a lane's last word.
+  const auto span =
+      static_cast<std::uint64_t>((access.width_bytes - 1) / 4 * 4);
+  const auto [lowest, highest] = std::minmax_element(addr.begin(), end);
+  const std::uint64_t lo_row = *lowest / kRowBytes;
+  const std::uint64_t hi_row = (*highest + span) / kRowBytes;
+  if (hi_row == lo_row) return 1;  // the conflict-free common case
+  if (hi_row - lo_row < 64) {
+    // All runs fit one 64-row window: OR them into a bitmap, in any lane
+    // order.
+    std::uint64_t rows = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t first = addr[i] / kRowBytes;
+      const std::uint64_t extra = (addr[i] + span) / kRowBytes - first;
+      rows |= (~std::uint64_t{0} >> (63 - extra)) << (first - lo_row);
+    }
+    return std::popcount(rows);
+  }
+  // Wider spread: merge the runs in address order, sorting only if the
+  // lanes arrived out of order.
+  if (!std::is_sorted(addr.begin(), end)) std::sort(addr.begin(), end);
+  std::uint64_t rows = 0;
+  std::uint64_t next_uncounted = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t first = std::max(addr[i] / kRowBytes, next_uncounted);
+    const std::uint64_t last = (addr[i] + span) / kRowBytes;
+    if (last >= first) {
+      rows += last - first + 1;
+      next_uncounted = last + 1;
     }
   }
-  return static_cast<int>(rows.size());
+  return static_cast<int>(rows);
 }
 
 int SharedMemory::ideal_transactions_for(const SharedWarpAccess& access) {
@@ -119,7 +164,7 @@ void SharedMemory::poison() {
 
 float SharedMemory::peek(SharedAddr byte_offset) const {
   KSUM_CHECK(byte_offset % 4 == 0 &&
-             byte_offset + 4 <= data_.size() * sizeof(float));
+             std::size_t{byte_offset} + 4 <= data_.size() * sizeof(float));
   return data_[byte_offset / 4];
 }
 

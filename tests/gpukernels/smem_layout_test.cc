@@ -6,6 +6,7 @@
 
 #include "gpukernels/gemm_mainloop.h"
 #include "gpusim/shared_memory.h"
+#include "tune/tile_search.h"
 
 namespace ksum::gpukernels {
 namespace {
@@ -155,6 +156,53 @@ TEST(Fig5LayoutTest, PaperExampleThreadZeroAndOne) {
     EXPECT_GE(off / 128, 8u);
     EXPECT_LT(off / 128, 16u);
   }
+}
+
+// The loader and the main loop address step k as step 0 plus k rows; that
+// is only sound if every layout puts element k of a track exactly k rows
+// below element 0, for every geometry the tuner can select.
+TEST(OffsetTableTest, StepKIsStepZeroPlusKRowsForEveryTunerGeometry) {
+  int geometries = 0;
+  for (const TileGeometry& g : tune::enumerate_candidates()) {
+    if (!g.structurally_valid()) continue;
+    ++geometries;
+    for (const TileLayout layout : {TileLayout::kFig5, TileLayout::kNaive}) {
+      SCOPED_TRACE(g.to_string() +
+                   (layout == TileLayout::kFig5 ? " fig5" : " naive"));
+      for (const int microtiles : {g.microtiles_a(), g.microtiles_b()}) {
+        for (int m = 0; m < microtiles; ++m) {
+          for (int t = 0; t < g.micro; ++t) {
+            const gpusim::SharedAddr step0 =
+                tile_offset(layout, g, microtiles, m, t, 0);
+            for (int k = 0; k < g.tile_k; ++k) {
+              ASSERT_EQ(tile_offset(layout, g, microtiles, m, t, k),
+                        step0 + kSmemRowBytes *
+                                    static_cast<gpusim::SharedAddr>(k))
+                  << "microtile " << m << " track " << t << " k " << k;
+            }
+          }
+        }
+      }
+
+      const OperandOffsetTable table = make_operand_offsets(layout, g);
+      const auto slots = static_cast<std::size_t>(g.warps() * g.micro * 32);
+      ASSERT_EQ(table.a.size(), slots);
+      ASSERT_EQ(table.b.size(), slots);
+      for (int warp = 0; warp < g.warps(); ++warp) {
+        for (int u = 0; u < g.micro; ++u) {
+          for (int lane = 0; lane < 32; ++lane) {
+            const int tid = warp * 32 + lane;
+            const std::size_t slot = operand_slot(g, warp, u, lane);
+            ASSERT_EQ(table.a[slot], operand_offset(layout, g, g.block_y,
+                                                    thread_ty(tid, g), u, 0));
+            ASSERT_EQ(table.b[slot], operand_offset(layout, g, g.block_x,
+                                                    thread_tx(tid, g), u, 0));
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(geometries, 0);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "common/error.h"
 
@@ -98,6 +99,39 @@ TEST(SharedMemoryTest, OutOfBoundsAccessIsCaught) {
   SharedMemory smem(256, &counters);
   const auto a = all_lanes([](int l) { return std::uint32_t(l * 4 + 192); });
   EXPECT_THROW(smem.load_warp(a), InternalError);
+}
+
+TEST(SharedMemoryTest, AddressNearTopOfRangeDoesNotWrapTheBoundsCheck) {
+  // 0xFFFFFFFC + 4 wraps to 0 in 32-bit arithmetic; the bound must still
+  // reject the lane instead of indexing far past the allocation.
+  Counters counters;
+  SharedMemory smem(256, &counters);
+  SharedWarpAccess a;
+  a.active_mask = 1;
+  a.set_lane(0, 0xFFFFFFFCu);
+  EXPECT_THROW(smem.load_warp(a), InternalError);
+  EXPECT_THROW(smem.store_warp(a, {}), InternalError);
+  EXPECT_THROW(smem.peek(0xFFFFFFFCu), InternalError);
+}
+
+TEST(SharedMemoryTest, FirstOffendingLaneDecidesTheError) {
+  // Lane 0 is out of bounds, lane 1 misaligned: the bounds error wins, as
+  // it would checking lane by lane.
+  Counters counters;
+  SharedMemory smem(256, &counters);
+  SharedWarpAccess a;
+  a.active_mask = 0b11;
+  a.set_lane(0, 256);
+  a.set_lane(1, 2);
+  try {
+    smem.load_warp(a);
+    FAIL() << "expected a bounds error";
+  } catch (const InternalError& e) {
+    EXPECT_NE(std::string(e.what()).find("out of the CTA allocation"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(counters.smem_load_requests, 0u);
 }
 
 TEST(SharedMemoryTest, MisalignedAccessIsCaught) {
