@@ -33,8 +33,6 @@ void DeviceSpec::validate() const {
                "SM thread limit must be warp aligned");
   KSUM_REQUIRE(smem_num_banks > 0 && is_pow2(smem_num_banks),
                "bank count must be 2^k");
-  KSUM_REQUIRE(l2_sector_bytes >= 4 && is_pow2(l2_sector_bytes),
-               "L2 sector must be a power of two of at least 4 bytes");
   KSUM_REQUIRE(l2_line_bytes % l2_sector_bytes == 0,
                "L2 line must be whole sectors");
   KSUM_REQUIRE(l2_bytes % static_cast<std::size_t>(l2_line_bytes) == 0,

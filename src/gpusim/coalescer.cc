@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
+#include <cstddef>
 
 #include "common/error.h"
 
@@ -39,10 +39,8 @@ void check_width(const GlobalWarpAccess& access) {
 
 }  // namespace
 
-Coalescer::Coalescer(int sector_bytes)
-    : sector_(static_cast<GlobalAddr>(sector_bytes)) {
-  KSUM_REQUIRE(sector_bytes >= 4 && std::has_single_bit(sector_),
-               "sector size must be a power of two of at least 4 bytes");
+Coalescer::Coalescer(int sector_bytes) : sector_bytes_(sector_bytes) {
+  KSUM_REQUIRE(sector_bytes >= 4, "a sector must hold at least one word");
 }
 
 void Coalescer::collect(const GlobalWarpAccess& access,
@@ -50,6 +48,7 @@ void Coalescer::collect(const GlobalWarpAccess& access,
   check_width(access);
   out.size_ = 0;
   if (access.width_bytes == 0) return;
+  const auto sector = static_cast<GlobalAddr>(sector_bytes_);
   const auto last_piece = static_cast<GlobalAddr>(access.width_bytes - 4);
   std::array<GlobalAddr, kWarpSize> addr;
   const std::size_t lanes = active_addresses(access, addr);
@@ -58,10 +57,11 @@ void Coalescer::collect(const GlobalWarpAccess& access,
   bool sorted = true;
   for (std::size_t i = 0; i < lanes; ++i) {
     KSUM_DCHECK(addr[i] % 4 == 0);
-    // The lane's words are contiguous, so it touches every sector from
-    // that of its first word to that of its last one.
-    const GlobalAddr last = sector_of(addr[i] + last_piece);
-    for (GlobalAddr s = sector_of(addr[i]); s <= last; s += sector_) {
+    // The lane's words are contiguous and a sector holds at least one word,
+    // so the lane touches every sector from that of its first word up to
+    // its last word.
+    for (GlobalAddr s = addr[i] / sector * sector; s <= addr[i] + last_piece;
+         s += sector) {
       push_distinct(items, n, s, sorted);
     }
   }
@@ -91,7 +91,8 @@ int Coalescer::ideal_sectors_for(const GlobalWarpAccess& access) const {
     }
   }
   n = sort_unique(words.data(), n, sorted);
-  return static_cast<int>((n * 4 + sector_ - 1) / sector_);
+  const auto sector = static_cast<std::size_t>(sector_bytes_);
+  return static_cast<int>((n * 4 + sector - 1) / sector);
 }
 
 }  // namespace ksum::gpusim

@@ -38,7 +38,7 @@ class SectorList {
 
 class Coalescer {
  public:
-  /// `sector_bytes` must be a power of two of at least 4 bytes.
+  /// `sector_bytes` must be at least one 4-byte word.
   explicit Coalescer(int sector_bytes);
 
   /// Replaces `out` with the distinct sector base addresses touched by the
@@ -57,14 +57,10 @@ class Coalescer {
   /// sectors, which is exactly the gap the lint reports.
   int ideal_sectors_for(const GlobalWarpAccess& access) const;
 
-  int sector_bytes() const { return static_cast<int>(sector_); }
+  int sector_bytes() const { return sector_bytes_; }
 
  private:
-  GlobalAddr sector_of(GlobalAddr byte) const {
-    return byte & ~(sector_ - 1);
-  }
-
-  GlobalAddr sector_;
+  int sector_bytes_;
 };
 
 }  // namespace ksum::gpusim

@@ -67,19 +67,8 @@ int SharedMemory::transactions_for(const SharedWarpAccess& access) {
   const std::uint64_t lo_row = *lowest / kRowBytes;
   const std::uint64_t hi_row = (*highest + span) / kRowBytes;
   if (hi_row == lo_row) return 1;  // the conflict-free common case
-  if (hi_row - lo_row < 64) {
-    // All runs fit one 64-row window: OR them into a bitmap, in any lane
-    // order.
-    std::uint64_t rows = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t first = addr[i] / kRowBytes;
-      const std::uint64_t extra = (addr[i] + span) / kRowBytes - first;
-      rows |= (~std::uint64_t{0} >> (63 - extra)) << (first - lo_row);
-    }
-    return std::popcount(rows);
-  }
-  // Wider spread: merge the runs in address order, sorting only if the
-  // lanes arrived out of order.
+  // Merge the runs in address order, sorting only if the lanes arrived out
+  // of order.
   if (!std::is_sorted(addr.begin(), end)) std::sort(addr.begin(), end);
   std::uint64_t rows = 0;
   std::uint64_t next_uncounted = 0;
